@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 
 	"repro/internal/cliutil"
@@ -14,19 +15,35 @@ import (
 // (encoding/json emits struct fields in declaration order), which keeps
 // committed BENCH_*.json files diffable across regenerations.
 func writeBenchArtifact(outFile string, doc any) int {
-	w := os.Stdout
-	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return cliutil.Usagef(tool, "%v", err)
+	var err error
+	if outFile == "" {
+		err = encodeArtifact(os.Stdout, doc)
+	} else {
+		f, cerr := os.Create(outFile)
+		if cerr != nil {
+			return cliutil.Usagef(tool, "%v", cerr)
 		}
-		defer f.Close()
-		w = f
+		err = encodeAndClose(f, doc)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err != nil {
 		return cliutil.Fail(tool, err)
 	}
 	return cliutil.ExitOK
+}
+
+// encodeAndClose encodes doc to w and closes it, returning the first
+// error: a failed close can lose buffered data, so it must fail the run
+// rather than leave a truncated artifact behind a zero exit.
+func encodeAndClose(w io.WriteCloser, doc any) error {
+	err := encodeArtifact(w, doc)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func encodeArtifact(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }

@@ -10,11 +10,7 @@ package main
 // fast-path metrics, a bounded DAC test-path ILP probe at the small
 // sizes, and peak RSS. A second template pass per size runs against one
 // engine shared across the whole curve, measuring how many equivalence
-// classes later sizes reuse from earlier ones. An irregular-chip block
-// then classifies non-square grids with skewed port counts under both
-// candidate-port encodings — the port-relative (side+along) encoding in
-// use and the legacy anchor-relative one — recording the class collapse
-// the port-relative encoding buys where chip symmetry is broken.
+// classes later sizes reuse from earlier ones.
 //
 // Two hard gates make the mode CI-enforceable (exit 1 on violation):
 // baseline and template coverage must be bit-identical wherever both run
@@ -65,24 +61,6 @@ type FPVADoc struct {
 	Speedup     float64     `json:"speedup_template_vs_baseline"`
 	MinSpeedup  float64     `json:"min_speedup_gate"`
 	CurvePoints []FPVAPoint `json:"curve"`
-	// Irregular classifies non-square, port-skewed grids under both
-	// candidate-port encodings.
-	Irregular []FPVAIrregular `json:"irregular"`
-}
-
-// FPVAIrregular is one irregular chip's class-count comparison between
-// the port-relative and the legacy anchor-relative port encoding.
-type FPVAIrregular struct {
-	W      int   `json:"w"`
-	H      int   `json:"h"`
-	Ports  int   `json:"ports"`
-	Seed   int64 `json:"seed"`
-	Valves int   `json:"valves"`
-	// PortRelClasses/LegacyClasses are the distinct equivalence-class
-	// counts under each encoding; Reduction is legacy/port-relative.
-	PortRelClasses int     `json:"port_rel_classes"`
-	LegacyClasses  int     `json:"legacy_classes"`
-	Reduction      float64 `json:"reduction"`
 }
 
 // FPVAPoint is one grid size on the scaling curve.
@@ -231,48 +209,6 @@ func peakRSSBytes() int64 {
 	return 0
 }
 
-// fpvaIrregularParams are the irregular-chip block's shapes: non-square
-// grids with port counts that break the even default spacing, where the
-// legacy anchor-relative encoding fractures translation classes.
-// Elongated grids with sparse perimeter ports are where the encodings
-// diverge: interior tile classes far from the short walls see identical
-// clamped neighbourhoods but different absolute distances to the far
-// port wall, which the anchor-relative encoding leaks into the key.
-var fpvaIrregularParams = []chip.FPVAParams{
-	{W: 64, H: 12, Ports: 5, Seed: 3},
-	{W: 80, H: 14, Ports: 5, Seed: 3},
-	{W: 96, H: 14, Ports: 7, Seed: 3},
-}
-
-// runFPVAIrregular fills doc.Irregular with the class-count comparison
-// on the irregular shapes.
-func runFPVAIrregular(doc *FPVADoc) error {
-	for _, p := range fpvaIrregularParams {
-		c, err := chip.GenerateFPVA(p)
-		if err != nil {
-			return err
-		}
-		portRel, legacy := testgen.ClassCounts(c)
-		ir := FPVAIrregular{
-			W: p.W, H: p.H, Ports: p.Ports, Seed: p.Seed,
-			Valves:         c.NumValves(),
-			PortRelClasses: portRel,
-			LegacyClasses:  legacy,
-		}
-		if portRel > legacy {
-			return fmt.Errorf("fpva irregular %dx%d/%dp: port-relative encoding expanded classes: %d > %d",
-				p.W, p.H, p.Ports, portRel, legacy)
-		}
-		if portRel > 0 {
-			ir.Reduction = float64(legacy) / float64(portRel)
-		}
-		doc.Irregular = append(doc.Irregular, ir)
-		fmt.Fprintf(os.Stderr, "irregular %2dx%-2d %2d ports: %4d classes port-relative vs %4d legacy (%.2fx)\n",
-			p.W, p.H, p.Ports, portRel, legacy, ir.Reduction)
-	}
-	return nil
-}
-
 func runFPVA(outFile, baselineFile string) int {
 	doc := FPVADoc{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -404,9 +340,6 @@ func runFPVA(outFile, baselineFile string) int {
 	}
 	fmt.Fprintf(os.Stderr, "gate: %.1fx template speedup at %dx%d (>= %.0fx required)\n",
 		doc.Speedup, doc.GateSize, doc.GateSize, minSpeedup)
-	if err := runFPVAIrregular(&doc); err != nil {
-		return cliutil.Fail(tool, err)
-	}
 	if baselineFile != "" {
 		var base FPVADoc
 		if err := readBaseline(baselineFile, &base); err != nil {

@@ -5,7 +5,6 @@
 //	bench -ilp [-out BENCH_ilp.json]
 //	bench -pressure [-out BENCH_pressure.json]
 //	bench -diagnose [-out BENCH_diagnose.json]
-//	bench -pso [-out BENCH_pso.json]
 //	bench -sched [-out BENCH_sched.json]
 //	bench -fpva [-out BENCH_fpva.json] [-baseline BENCH_fpva.json]
 //	bench -cache [-out BENCH_cache.json] [-baseline BENCH_cache.json]
@@ -19,15 +18,10 @@
 // replay — vectors-to-localize, suspect-set sizes and campaign
 // throughput per design, with a worker-count determinism check (see
 // diagnose.go).
-// With -pso it measures the two-level PSO DFT flow's fitness engine —
-// a serial recomputation leg, the memoized asynchronous engine, and the
-// batch-synchronous engine at 1/2/4/8 workers — per design, with
-// outer-stage wall-clock, cache hit rates and a worker-count
-// determinism check (see pso.go).
 // With -sched it measures the warm-start scheduler engine — the preserved
 // seed scheduler vs a fresh engine per call vs one engine reused across a
 // control set — per design, with bit-identity asserted on every schedule
-// and a whole-flow SchedBaseline A/B on the largest design (see sched.go).
+// (see sched.go).
 // With -fpva it measures per-valve test-suite generation on a scaling
 // curve of generated FPVA grids (8x8 through 64x64) — the per-valve
 // baseline solver vs the symmetry-exploiting template engine — with a
@@ -97,7 +91,6 @@ func run() int {
 	ilpMode := flag.Bool("ilp", false, "benchmark the branch-and-bound ILP engine (seed serial vs parallel at 1/2/4/8 workers) instead of the fault campaign")
 	pressureMode := flag.Bool("pressure", false, "benchmark the node-pressure solvers (dense vs sparse-cold vs sparse-warm vs parallel) per design instead of the fault campaign")
 	diagnoseMode := flag.Bool("diagnose", false, "benchmark adaptive fault diagnosis vs exhaustive replay per design instead of the fault campaign")
-	psoMode := flag.Bool("pso", false, "benchmark the two-level PSO fitness engine (serial recompute vs memoized vs batch at 1/2/4/8 workers) instead of the fault campaign")
 	schedMode := flag.Bool("sched", false, "benchmark the warm-start scheduler engine (seed baseline vs cold vs warm) per design instead of the fault campaign")
 	fpvaMode := flag.Bool("fpva", false, "benchmark per-valve suite generation (baseline vs symmetry templates) on a scaling curve of generated FPVA grids instead of the fault campaign")
 	cacheMode := flag.Bool("cache", false, "benchmark the content-addressed artifact cache (uncached vs cold/warm flow runs, dedup batch submission) instead of the fault campaign")
@@ -106,13 +99,13 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to FILE after the run")
 	flag.Parse()
 	modes := 0
-	for _, m := range []bool{*ilpMode, *pressureMode, *diagnoseMode, *psoMode, *schedMode, *fpvaMode, *cacheMode} {
+	for _, m := range []bool{*ilpMode, *pressureMode, *diagnoseMode, *schedMode, *fpvaMode, *cacheMode} {
 		if m {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return cliutil.Usagef(tool, "-ilp, -pressure, -diagnose, -pso, -sched, -fpva and -cache are mutually exclusive")
+		return cliutil.Usagef(tool, "-ilp, -pressure, -diagnose, -sched, -fpva and -cache are mutually exclusive")
 	}
 	if *baselineFile != "" && !*fpvaMode && !*cacheMode {
 		return cliutil.Usagef(tool, "-baseline is only meaningful with -cache or -fpva")
@@ -130,8 +123,6 @@ func run() int {
 			return runPressure(*outFile)
 		case *diagnoseMode:
 			return runDiagnose(*outFile)
-		case *psoMode:
-			return runPSO(*outFile)
 		case *schedMode:
 			return runSched(*outFile)
 		case *fpvaMode:

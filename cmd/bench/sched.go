@@ -20,12 +20,6 @@ package main
 // the schedules are compared bit for bit — a mismatch is a hard failure,
 // not a report field.
 //
-// The mode closes with an end-to-end A/B on the largest design: the full
-// DFT flow with Options.SchedBaseline (every fitness schedule through the
-// seed path) against the normal engine-backed flow, asserting the results
-// are identical and reporting the outer-stage wall-clock delta plus the
-// sched_* stage counters.
-//
 // The committed BENCH_sched.json is regenerated with:
 //
 //	go run ./cmd/bench -sched -out BENCH_sched.json
@@ -41,8 +35,6 @@ import (
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/cliutil"
-	"repro/internal/core"
-	"repro/internal/pso"
 	"repro/internal/sched"
 )
 
@@ -50,8 +42,6 @@ import (
 type SchedDoc struct {
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Designs    []SchedDesign `json:"designs"`
-	// EndToEnd is the full-flow A/B on the largest design.
-	EndToEnd SchedEndToEnd `json:"end_to_end"`
 }
 
 // SchedDesign is one chip/assay combination's measurements.
@@ -77,24 +67,6 @@ type SchedResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	SpeedupVs   float64 `json:"speedup_vs_baseline,omitempty"`
-}
-
-// SchedEndToEnd is the whole-flow A/B: identical Options except
-// SchedBaseline, identical results required.
-type SchedEndToEnd struct {
-	Chip  string `json:"chip"`
-	Assay string `json:"assay"`
-	// Deterministic records that the engine-backed flow and the
-	// baseline-scheduler flow returned a bit-identical result.
-	Deterministic   bool    `json:"baseline_engine_result_identical"`
-	BaselineOuterNs int64   `json:"baseline_outer_stage_ns"`
-	EngineOuterNs   int64   `json:"engine_outer_stage_ns"`
-	OuterSpeedup    float64 `json:"outer_speedup"`
-	// The engine-backed flow's sched_* counters, summed over all stages.
-	EngineBuilds     int64 `json:"sched_engine_builds"`
-	WarmRuns         int64 `json:"sched_warm_runs"`
-	CandidateHits    int64 `json:"sched_candidate_hits"`
-	FallbackReroutes int64 `json:"sched_fallback_reroutes"`
 }
 
 // schedAugment clones c and adds n DFT channels on the first free edges,
@@ -259,62 +231,5 @@ func runSched(outFile string) int {
 		doc.Designs = append(doc.Designs, d)
 	}
 
-	e2e, err := runSchedEndToEnd()
-	if err != nil {
-		return cliutil.Fail(tool, err)
-	}
-	doc.EndToEnd = *e2e
-
 	return writeBenchArtifact(outFile, doc)
-}
-
-// runSchedEndToEnd A/Bs the full DFT flow on the largest design: identical
-// options except SchedBaseline, results must match bit for bit.
-func runSchedEndToEnd() (*SchedEndToEnd, error) {
-	c, g := chip.MRNA(), assay.CPA()
-	opts := func(baseline bool) core.Options {
-		return core.Options{
-			Outer:         pso.Config{Particles: 5, Iterations: 20},
-			Inner:         pso.Config{Particles: 5, Iterations: 8},
-			Seed:          2018,
-			Workers:       1,
-			SchedBaseline: baseline,
-		}
-	}
-	baseRes, err := core.RunDFTFlow(c, g, opts(true))
-	if err != nil {
-		return nil, err
-	}
-	engRes, err := core.RunDFTFlow(c, g, opts(false))
-	if err != nil {
-		return nil, err
-	}
-	e2e := &SchedEndToEnd{
-		Chip:          c.Name,
-		Assay:         g.Name,
-		Deterministic: psoResultKey(baseRes) == psoResultKey(engRes),
-	}
-	if !e2e.Deterministic {
-		return nil, fmt.Errorf("%s: SchedBaseline changed the flow result:\n baseline: %s\n engine:   %s",
-			c.Name, psoResultKey(baseRes), psoResultKey(engRes))
-	}
-	if outer := baseRes.Stats.Stage(core.StageOuter); outer != nil {
-		e2e.BaselineOuterNs = outer.Duration.Nanoseconds()
-	}
-	if outer := engRes.Stats.Stage(core.StageOuter); outer != nil {
-		e2e.EngineOuterNs = outer.Duration.Nanoseconds()
-	}
-	if e2e.BaselineOuterNs > 0 && e2e.EngineOuterNs > 0 {
-		e2e.OuterSpeedup = float64(e2e.BaselineOuterNs) / float64(e2e.EngineOuterNs)
-	}
-	for _, st := range engRes.Stats.Stages {
-		e2e.EngineBuilds += st.Counters["sched_engine_builds"]
-		e2e.WarmRuns += st.Counters["sched_warm_runs"]
-		e2e.CandidateHits += st.Counters["sched_candidate_hits"]
-		e2e.FallbackReroutes += st.Counters["sched_fallback_reroutes"]
-	}
-	fmt.Fprintf(os.Stderr, "%-6s end-to-end outer %10.1fms (baseline) vs %10.1fms (engine)  builds %d  runs %d  cand_hits %d\n",
-		c.Name, float64(e2e.BaselineOuterNs)/1e6, float64(e2e.EngineOuterNs)/1e6,
-		e2e.EngineBuilds, e2e.WarmRuns, e2e.CandidateHits)
-	return e2e, nil
 }

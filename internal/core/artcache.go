@@ -144,15 +144,14 @@ func (c *Cache) add(kind string, d artifact.Digest, payload []byte) {
 // flowCacheable reports whether a flow's options describe a pure
 // (chip, assay, options) → Result function the cache may serve:
 // injection drills, optional diagnosis/reconfiguration stages, and the
-// bench A/B baseline modes are excluded (they must actually run).
+// recompute reference are excluded (they must actually run).
 func flowCacheable(opts Options) bool {
-	return len(opts.Inject) == 0 && !opts.Diagnose && !opts.Reconfigure &&
-		!opts.PSOBaseline && !opts.PSORecompute && !opts.SchedBaseline
+	return len(opts.Inject) == 0 && !opts.Diagnose && !opts.Reconfigure && !opts.recompute
 }
 
 // flowDigest is the content address of a flow submission. Semantic
-// inputs only: Workers, Observer, Cache, MemoBytes and the baseline
-// flags never change the Result (worker-count invariance is the
+// inputs only: Workers, Observer, Cache, MemoBytes and the recompute
+// reference never change the Result (worker-count invariance is the
 // engines' defining property), so they are excluded — two submissions
 // differing only in execution knobs share one solve.
 func flowDigest(c *chip.Chip, g *assay.Graph, opts Options) artifact.Digest {

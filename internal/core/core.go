@@ -26,8 +26,6 @@
 // pure functions of their keys, and each configuration carries an
 // incremental revalidation screen (reval.go) that rechecks a scheme only
 // when a vector whose expansion it changed is load-bearing for coverage.
-// Options.PSOBaseline restores the seed's serial asynchronous engines for
-// A/B benchmarks (cmd/bench -pso).
 package core
 
 import (
@@ -129,30 +127,6 @@ type Options struct {
 	// the exact guarantee) and the PSO trajectories (see package pso) —
 	// the whole Result is worker-count invariant.
 	Workers int
-	// PSOBaseline routes both PSO levels through the seed's serial
-	// asynchronous engine (pso.MinimizeBaselineCtx) and disables the
-	// incremental sharing-scheme revalidation screen — the A/B reference
-	// cmd/bench -pso measures the batch engine against. The baseline
-	// trajectory differs from the batch engine's (asynchronous gbest
-	// updates), so results are comparable in quality, not bit-equal.
-	PSOBaseline bool
-	// PSORecompute disables every reuse layer of the fitness engine — the
-	// sharing-scheme memo is never consulted, a configuration's inner
-	// search is re-run on every encounter, and the revalidation screen is
-	// off — so each evaluation pays its full augment+inner-PSO+schedule
-	// cost. The caches are still populated (the flow's selection logic
-	// reads them) and every value is a pure function of its key, so the
-	// Result is bit-identical with or without this flag; only wall-clock
-	// changes. This is cmd/bench -pso's serial recomputation leg, the
-	// denominator of the engine's speedup — not a mode end users want.
-	PSORecompute bool
-	// SchedBaseline routes every schedule evaluation through the seed's
-	// cold scheduler path (sched.RunProgressBaseline), which rebuilds its
-	// routing and validation state per call, instead of the flow's cached
-	// warm engines. Schedules are bit-identical either way (the engine's
-	// defining property), so the whole Result is too; only wall-clock
-	// changes. This is cmd/bench -sched's A/B reference leg.
-	SchedBaseline bool
 	// Observer receives live pipeline events: stage boundaries, solver
 	// iteration ticks, chain tier transitions, cache-hit deltas. nil
 	// disables observation. Observers never affect the search — results
@@ -175,6 +149,14 @@ type Options struct {
 	// so the Result never changes). 0 = unbounded (the historical
 	// behavior).
 	MemoBytes int64
+	// recompute disables every reuse layer of the fitness engine: the
+	// sharing-scheme memo is never consulted, a configuration's inner
+	// search re-runs on every encounter, and the revalidation screen is
+	// off. The caches are still populated (the flow's selection logic
+	// reads them) and every value is a pure function of its key, so the
+	// Result is bit-identical either way. Only tests set it, as the
+	// reference for the memo-purity check.
+	recompute bool
 }
 
 func (o Options) withDefaults() Options {
@@ -728,15 +710,6 @@ func (f *flow) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// minimize routes a PSO run through the batch-synchronous engine, or the
-// seed's serial asynchronous baseline when Options.PSOBaseline is set.
-func (f *flow) minimize(ctx context.Context, dim int, fitness func([]float64) float64, cfg pso.Config) pso.Result {
-	if f.opts.PSOBaseline {
-		return pso.MinimizeBaselineCtx(ctx, dim, fitness, cfg)
-	}
-	return pso.MinimizeCtx(ctx, dim, fitness, cfg)
-}
-
 // --- shared search machinery (used by the banloop/outer/finalize stages) ----
 
 // augment produces a DFT configuration for the given edge-weight bias
@@ -786,10 +759,10 @@ func (f *flow) bestSharingFitness(ev *augEval) float64 {
 	sum := ev.sum
 	sum.mu.Lock()
 	defer sum.mu.Unlock()
-	if sum.searched && !f.opts.PSORecompute {
+	if sum.searched && !f.opts.recompute {
 		return sum.bestFit
 	}
-	// Under PSORecompute the search below re-runs on every encounter; the
+	// Under recompute the search below re-runs on every encounter; the
 	// inner seed derives from the configuration key, so it reproduces the
 	// same result and the <-guarded updates are idempotent.
 	sum.searched = true
@@ -798,7 +771,7 @@ func (f *flow) bestSharingFitness(ev *augEval) float64 {
 	innerCfg.Seed = f.opts.Seed ^ int64(len(ev.key)) ^ hashString(ev.key)
 	innerCfg.OnIteration = f.solverTick
 	innerCfg.Workers = f.workers()
-	res := f.minimize(f.ctx, nDFT, func(x []float64) float64 {
+	res := pso.MinimizeCtx(f.ctx, nDFT, func(x []float64) float64 {
 		partners := f.decodePartners(ev.aug.Chip, x)
 		return f.sharingFitness(ev, partners)
 	}, innerCfg)
@@ -865,8 +838,8 @@ func (f *flow) decodePartners(c *chip.Chip, x []float64) []int {
 // schemes constantly, and concurrent workers racing on one compute it
 // exactly once.
 func (f *flow) sharingFitness(ev *augEval, partners []int) float64 {
-	if f.opts.PSORecompute {
-		// Serial recomputation leg: pay the full cost on every call, but
+	if f.opts.recompute {
+		// Recomputation reference: pay the full cost on every call, but
 		// still record the (identical, pure-function) value so the
 		// finalize stage's selection reads see the same population.
 		fit := f.computeSharingFitness(ev, partners)
@@ -945,12 +918,8 @@ func (f *flow) schedEngine(c *chip.Chip) (*sched.Engine, error) {
 }
 
 // runSched schedules the assay on c under ctrl through the flow's warm
-// engine for that chip — or through the preserved cold path when
-// Options.SchedBaseline is set. Both paths return bit-identical schedules.
+// engine for that chip.
 func (f *flow) runSched(c *chip.Chip, ctrl *chip.Control) (*sched.Schedule, int, error) {
-	if f.opts.SchedBaseline {
-		return sched.RunProgressBaseline(c, ctrl, f.graph, f.opts.Sched)
-	}
 	eng, err := f.schedEngine(c)
 	if err != nil {
 		return nil, 0, err

@@ -158,45 +158,58 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFlowBaselineMode smoke-tests the serial asynchronous A/B path: the
-// baseline engine must still drive the flow to a valid, fully-shared
-// result (its trajectory differs from the batch engine by design).
-func TestFlowBaselineMode(t *testing.T) {
-	opts := smallOpts(5)
-	opts.PSOBaseline = true
-	res, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
-	if err != nil {
-		t.Fatal(err)
+// TestFlowRecomputeMatchesMemoized pins the purity contract behind the
+// memo caches and the revalidation screen: the recomputation reference
+// (every reuse layer disabled) must return a bit-identical Result to the
+// production batch engine with the caches and the screen on — they
+// change wall-clock, never the answer.
+func TestFlowRecomputeMatchesMemoized(t *testing.T) {
+	combos := []struct {
+		name  string
+		chip  *chip.Chip
+		assay *assay.Graph
+	}{
+		{"ivd_ivd", chip.IVD(), assay.IVD()},
+		{"ra30_pid", chip.RA30(), assay.PID()},
+		{"mrna_cpa", chip.MRNA(), assay.CPA()},
 	}
-	if res.NumShared != res.NumDFTValves {
-		t.Fatalf("baseline mode lost full sharing: %d/%d", res.NumShared, res.NumDFTValves)
-	}
-	if res.ExecPSO <= 0 || res.ExecPSO > res.ExecNoPSO {
-		t.Fatalf("baseline exec inconsistent: pso=%d nopso=%d", res.ExecPSO, res.ExecNoPSO)
+	for _, combo := range combos {
+		combo := combo
+		t.Run(combo.name, func(t *testing.T) {
+			memo := smallOpts(9)
+			first, err := RunDFTFlow(combo.chip, combo.assay, memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recompute := memo
+			recompute.recompute = true
+			second, err := RunDFTFlow(combo.chip, combo.assay, recompute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The screen must actually run in the memo leg and stay off in
+			// the recompute leg, or the comparison checks nothing.
+			if n := screenChecks(first); n == 0 {
+				t.Fatal("memoized leg never consulted the revalidation screen")
+			}
+			if n := screenChecks(second); n != 0 {
+				t.Fatalf("recompute leg consulted the revalidation screen %d times", n)
+			}
+			if got, want := canonicalResult(second), canonicalResult(first); got != want {
+				t.Errorf("recompute leg diverged from the memoized engine\n--- recompute ---\n%s--- memoized ---\n%s", got, want)
+			}
+		})
 	}
 }
 
-// TestFlowRecomputeMatchesMemoized pins the purity contract behind the
-// memo caches and the revalidation screen: the serial recomputation leg
-// (every reuse layer disabled) must return a bit-identical Result to the
-// memoized asynchronous engine — the caches and the screen change
-// wall-clock, never the answer.
-func TestFlowRecomputeMatchesMemoized(t *testing.T) {
-	memo := smallOpts(9)
-	memo.PSOBaseline = true
-	first, err := RunDFTFlow(chip.IVD(), assay.IVD(), memo)
-	if err != nil {
-		t.Fatal(err)
+// screenChecks counts the vectors the revalidation screen classified over
+// the whole flow (zero when the screen never ran).
+func screenChecks(res *Result) int64 {
+	var n int64
+	for _, st := range res.Stats.Stages {
+		n += st.Counters["reval_clean_vectors"] + st.Counters["reval_dirty_vectors"]
 	}
-	recompute := memo
-	recompute.PSORecompute = true
-	second, err := RunDFTFlow(chip.IVD(), assay.IVD(), recompute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canonicalResult(second), canonicalResult(first); got != want {
-		t.Errorf("recompute leg diverged from the memoized engine\n--- recompute ---\n%s--- memoized ---\n%s", got, want)
-	}
+	return n
 }
 
 // TestExplicitZeroOmegaPlumbsThrough pins the Options-level plumbing of

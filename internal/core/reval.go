@@ -51,14 +51,13 @@ type sharingScreen struct {
 
 // screenFor returns the configuration's revalidation screen, building it
 // on first use. It returns nil when the screen is unavailable: the
-// baseline A/B mode disables it, and a failed build degrades every check
-// to the slow path.
+// recompute reference disables it, and a failed build degrades every
+// check to the slow path.
 func (f *flow) screenFor(ev *augEval) *sharingScreen {
 	ev.screenOnce.Do(func() {
-		if f.opts.PSOBaseline || f.opts.PSORecompute {
-			return
+		if !f.opts.recompute {
+			ev.screen = f.newSharingScreen(ev)
 		}
-		ev.screen = f.newSharingScreen(ev)
 	})
 	return ev.screen
 }

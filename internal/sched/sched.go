@@ -172,12 +172,6 @@ func RunBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params
 	return sch, err
 }
 
-// RunBaselineCtx is RunBaseline with cooperative cancellation.
-func RunBaselineCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
-	sch, _, err := RunProgressBaselineCtx(ctx, c, ctrl, g, params)
-	return sch, err
-}
-
 // RunProgressBaseline is RunBaseline with the operations-completed count.
 func RunProgressBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, int, error) {
 	return RunProgressBaselineCtx(context.Background(), c, ctrl, g, params)

@@ -157,6 +157,31 @@ func TestTemplateClassCompression(t *testing.T) {
 	}
 }
 
+// TestIrregularClassTotals pins the class counts of the port-relative
+// (side+along) candidate-port encoding on elongated sparse-port FPVAs,
+// the shapes where chip symmetry is broken and the encoding decides how
+// far the valves collapse into classes. A change to the signature that
+// splits or merges classes shows up here as an exact count change.
+func TestIrregularClassTotals(t *testing.T) {
+	for _, tc := range []struct {
+		p    chip.FPVAParams
+		want int
+	}{
+		{chip.FPVAParams{W: 64, H: 12, Ports: 5, Seed: 3}, 707},
+		{chip.FPVAParams{W: 80, H: 14, Ports: 5, Seed: 3}, 958},
+		{chip.FPVAParams{W: 96, H: 14, Ports: 7, Seed: 3}, 807},
+	} {
+		c, err := chip.GenerateFPVA(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, classes, _, _ := newSuitePre(c).classify()
+		if len(classes) != tc.want {
+			t.Errorf("%dx%d/%d ports: %d classes, want %d", tc.p.W, tc.p.H, tc.p.Ports, len(classes), tc.want)
+		}
+	}
+}
+
 // TestSuiteGenerationCancellation: a dead context aborts both engines.
 func TestSuiteGenerationCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

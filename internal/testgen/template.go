@@ -94,9 +94,8 @@ func resolvePort(gr *grid.Grid, anchor grid.Coord, side byte, along, along2 int)
 // classSignature returns the tile-class key of a valve and its anchor (the
 // top-left endpoint of its edge). Valves with equal signatures have
 // translation-identical local neighbourhoods and candidate test ports at
-// equal relative positions. legacyPorts selects the pre-collapse
-// anchor-relative port encoding (kept for ClassCounts A/B accounting).
-func (p *suitePre) classSignature(valve int, legacyPorts bool) (string, grid.Coord) {
+// equal relative positions.
+func (p *suitePre) classSignature(valve int) (string, grid.Coord) {
 	gr := p.c.Grid
 	anchor, other := gr.EdgeEndpoints(p.c.Valve(valve).Edge)
 	buf := make([]byte, 0, 96)
@@ -139,19 +138,11 @@ func (p *suitePre) classSignature(valve int, legacyPorts bool) (string, grid.Coo
 	}
 	// The candidate test ports: class members must agree on where their
 	// solve would look, or the template ports would not translate.
-	// Boundary ports use the side+along encoding (see portSideAlong);
-	// legacyPorts keeps the anchor-relative coordinates instead.
+	// Boundary ports use the side+along encoding (see portSideAlong).
 	u, w := p.g.Endpoints(p.c.Valve(valve).Edge)
 	for _, pr := range p.candidatePairs(u, w) {
 		sc := gr.CoordOf(p.c.Ports[pr[0]].Node)
 		dc := gr.CoordOf(p.c.Ports[pr[1]].Node)
-		if legacyPorts {
-			for _, d := range []int{sc.X - anchor.X, sc.Y - anchor.Y, dc.X - anchor.X, dc.Y - anchor.Y} {
-				buf = append(buf, ';')
-				buf = strconv.AppendInt(buf, int64(d), 10)
-			}
-			continue
-		}
 		for _, co := range []grid.Coord{sc, dc} {
 			side, a1, a2 := portSideAlong(gr, co, anchor)
 			buf = append(buf, ';', side, ';')
@@ -163,28 +154,6 @@ func (p *suitePre) classSignature(valve int, legacyPorts bool) (string, grid.Coo
 		}
 	}
 	return string(buf), anchor
-}
-
-// ClassCounts classifies every valve of the chip under both candidate-port
-// encodings and returns the distinct class counts: the port-relative
-// (side+along) encoding in use, and the legacy anchor-relative encoding.
-// On irregular chips the port-relative count is at most the legacy count —
-// the class-collapse the FPVA benchmarks record.
-func ClassCounts(c *chip.Chip) (portRel, legacy int) {
-	pre := newSuitePre(c)
-	count := func(legacyPorts bool) int {
-		seen := make(map[string]struct{})
-		for v := 0; v < c.NumValves(); v++ {
-			if lsig, ok := pre.lineSignature(v); ok {
-				seen[lsig] = struct{}{}
-				continue
-			}
-			sig, _ := pre.classSignature(v, legacyPorts)
-			seen[sig] = struct{}{}
-		}
-		return len(seen)
-	}
-	return count(false), count(true)
 }
 
 // lineInfo describes the straight test line through a valve: the fully
@@ -567,6 +536,34 @@ func (e *TemplateEngine) saveTemplate(sig string, t *template) {
 	}
 }
 
+// classify assigns every valve its class signature: line classes when the
+// valve sits on a fully valved grid line with straight boundary ports,
+// tile classes (with the tile anchor) otherwise. classes lists the
+// distinct signatures in first-seen order and repOf maps each to its
+// representative, the first valve seen, so the solved templates are
+// independent of worker count.
+func (p *suitePre) classify() (sigs []string, anchors []grid.Coord, classes []string, repOf map[string]int, lineClasses int) {
+	nv := p.c.NumValves()
+	sigs = make([]string, nv)
+	anchors = make([]grid.Coord, nv)
+	repOf = make(map[string]int, nv/8)
+	for v := 0; v < nv; v++ {
+		if lsig, ok := p.lineSignature(v); ok {
+			sigs[v] = lsig
+		} else {
+			sigs[v], anchors[v] = p.classSignature(v)
+		}
+		if _, ok := repOf[sigs[v]]; !ok {
+			repOf[sigs[v]] = v
+			classes = append(classes, sigs[v])
+			if sigs[v][0] == 'L' {
+				lineClasses++
+			}
+		}
+	}
+	return sigs, anchors, classes, repOf, lineClasses
+}
+
 // Generate builds the suite for c. Results are bit-identical for any
 // worker count and reach the same coverage as GenerateBaseline.
 func (e *TemplateEngine) Generate(c *chip.Chip, opts SuiteOptions) (*Suite, error) {
@@ -581,30 +578,7 @@ func (e *TemplateEngine) GenerateCtx(ctx context.Context, c *chip.Chip, opts Sui
 	}
 	pre := newSuitePre(c)
 	nv := c.NumValves()
-
-	// Classify every valve: line classes when the valve sits on a fully
-	// valved grid line with straight boundary ports, tile classes
-	// otherwise. Class representatives are first-seen valves, so the
-	// solved templates are independent of worker count.
-	sigs := make([]string, nv)
-	anchors := make([]grid.Coord, nv)
-	repOf := make(map[string]int, nv/8)
-	var classes []string
-	lineClasses := 0
-	for v := 0; v < nv; v++ {
-		if lsig, ok := pre.lineSignature(v); ok {
-			sigs[v] = lsig
-		} else {
-			sigs[v], anchors[v] = pre.classSignature(v, false)
-		}
-		if _, ok := repOf[sigs[v]]; !ok {
-			repOf[sigs[v]] = v
-			classes = append(classes, sigs[v])
-			if sigs[v][0] == 'L' {
-				lineClasses++
-			}
-		}
-	}
+	sigs, anchors, classes, repOf, lineClasses := pre.classify()
 
 	// Solve one template per class, racing workers deduplicated by the
 	// once-map (cache hits are classes solved by an earlier Generate).
