@@ -13,12 +13,29 @@ import (
 )
 
 // A cached flow result must be byte-identical to a fresh solve under the
-// canonical encoding, from both the memory and the disk tier.
+// canonical encoding, from both the memory and the disk tier, on every
+// bundled design. Either hit must collapse the run to the single artifact
+// stage: no solver stage runs at all.
 func TestFlowCacheBitIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		chip  func() *chip.Chip
+		assay func() *assay.Graph
+	}{
+		{chip.IVD, assay.IVD},
+		{chip.RA30, assay.PID},
+		{chip.MRNA, assay.CPA},
+	} {
+		t.Run(tc.chip().Name, func(t *testing.T) {
+			checkFlowCacheBitIdentity(t, tc.chip, tc.assay)
+		})
+	}
+}
+
+func checkFlowCacheBitIdentity(t *testing.T, newChip func() *chip.Chip, newAssay func() *assay.Graph) {
 	dir := t.TempDir()
 	opts := smallOpts(11)
 
-	fresh, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+	fresh, err := RunDFTFlow(newChip(), newAssay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +49,7 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Cache = cc
-	cold, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+	cold, err := RunDFTFlow(newChip(), newAssay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +57,7 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 	if !bytes.Equal(coldEnc, want) {
 		t.Fatal("cold cached run differs from uncached run")
 	}
-	memHit, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+	memHit, err := RunDFTFlow(newChip(), newAssay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +65,7 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 	if !bytes.Equal(memEnc, want) {
 		t.Fatal("memory-tier hit differs from fresh solve")
 	}
-	if memHit.Stats == nil || len(memHit.Stats.Stages) != 1 || memHit.Stats.Stages[0].Name != StageArtifact {
-		t.Fatalf("memory hit should report a single artifact stage, got %+v", memHit.Stats)
-	}
-	if memHit.Stats.Stages[0].Counters["art_mem_hits"] != 1 {
-		t.Fatalf("missing art_mem_hits counter: %+v", memHit.Stats.Stages[0].Counters)
-	}
+	assertArtifactStageOnly(t, memHit, "art_mem_hits")
 
 	// A second process: fresh cache over the same directory = disk tier.
 	cc2, err := NewCache(CacheConfig{Dir: dir})
@@ -61,7 +73,7 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Cache = cc2
-	diskHit, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+	diskHit, err := RunDFTFlow(newChip(), newAssay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +81,22 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 	if !bytes.Equal(diskEnc, want) {
 		t.Fatal("disk-tier hit differs from fresh solve")
 	}
-	if diskHit.Stats.Stages[0].Counters["art_disk_hits"] != 1 {
-		t.Fatalf("missing art_disk_hits counter: %+v", diskHit.Stats.Stages[0].Counters)
-	}
+	assertArtifactStageOnly(t, diskHit, "art_disk_hits")
 	m := cc2.Metrics()
 	if m.DiskHits != 1 || m.MemHits != 0 || m.Misses != 0 {
 		t.Fatalf("unexpected warm-run metrics: %+v", m)
+	}
+}
+
+// assertArtifactStageOnly checks that a cache hit reports exactly one
+// artifact stage carrying the given hit counter at 1.
+func assertArtifactStageOnly(t *testing.T, res *Result, hitCounter string) {
+	t.Helper()
+	if res.Stats == nil || len(res.Stats.Stages) != 1 || res.Stats.Stages[0].Name != StageArtifact {
+		t.Fatalf("cache hit should report a single artifact stage, got %+v", res.Stats)
+	}
+	if res.Stats.Stages[0].Counters[hitCounter] != 1 {
+		t.Fatalf("missing %s counter: %+v", hitCounter, res.Stats.Stages[0].Counters)
 	}
 }
 

@@ -95,7 +95,8 @@ func RunSuite(c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 // fault-simulates it, as an observable two-stage flowstage pipeline
 // (suitegen → suitecampaign). Stage counters attribute the template
 // engine's class/cache/fallback traffic and the campaign's fast-path rule
-// usage, so scaling sweeps (cmd/bench -fpva) can report where time goes.
+// usage, so scaling sweeps (perfbench's fpva-suite workload) can report
+// where time goes.
 func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 	switch opts.Engine {
 	case "", SuiteEngineTemplate, SuiteEngineBaseline:

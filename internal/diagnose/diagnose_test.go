@@ -270,3 +270,64 @@ func TestInconsistentOracle(t *testing.T) {
 		t.Fatalf("expected inconsistent empty suspects, got %v (consistent=%v)", r.Suspects, r.Consistent)
 	}
 }
+
+// TestAdaptiveVectorCountsSingleSource pins the adaptive engine's cost on
+// the DFT flow's own test set: each bundled design augmented to one source
+// and one meter, its test paths plus leak-preserving cuts applied to the
+// augmented chip. Per design it pins the fault count, the exhaustive-replay
+// cost (NumUsable vectors per fault), the adaptive total over all faults
+// and the worst single fault, and checks that the adaptive suspect sets
+// equal those of a campaign forced down to exhaustive replay.
+func TestAdaptiveVectorCountsSingleSource(t *testing.T) {
+	replayOnly, err := solve.ParseInjections(TierAdaptive + ":infeasible," + TierGreedy + ":infeasible")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		chip                        *chip.Chip
+		faults, usable, total, most int
+	}{
+		{chip.IVD(), 28, 14, 154, 13},
+		{chip.RA30(), 36, 18, 225, 17},
+		{chip.MRNA(), 68, 33, 684, 31},
+	} {
+		aug, err := testgen.AugmentHeuristicCtx(ctx, tc.chip, testgen.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts, err := testgen.GenerateCuts(aug.Chip, aug.Source, aug.Meter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := fault.MustSimulator(aug.Chip, chip.IndependentControl(aug.Chip))
+		m, err := fault.NewEngine(sim, 0).DetectionMatrix(ctx, append(aug.PathVectors(), cuts...), fault.AllFaults(aug.Chip))
+		if err != nil {
+			t.Fatal(err)
+		}
+		adaptive, err := (&Planner{Matrix: m}).Campaign(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := (&Planner{Matrix: m, Inject: replayOnly}).Campaign(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, most := 0, 0
+		for i, d := range adaptive {
+			n := d.Result.VectorsApplied()
+			total += n
+			most = max(most, n)
+			if replay[i].Provenance.Name != TierReplay {
+				t.Fatalf("%s %v: forced campaign ran tier %q, want %q", tc.chip.Name, d.Fault, replay[i].Provenance.Name, TierReplay)
+			}
+			if !reflect.DeepEqual(d.Result.Suspects, replay[i].Result.Suspects) {
+				t.Errorf("%s %v: adaptive suspects %v, replay %v", tc.chip.Name, d.Fault, d.Result.Suspects, replay[i].Result.Suspects)
+			}
+		}
+		if got := [4]int{len(adaptive), m.NumUsable(), total, most}; got != [4]int{tc.faults, tc.usable, tc.total, tc.most} {
+			t.Errorf("%s: (faults, usable, total, max vectors) = %v, want %v",
+				tc.chip.Name, got, [4]int{tc.faults, tc.usable, tc.total, tc.most})
+		}
+	}
+}

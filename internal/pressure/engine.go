@@ -43,7 +43,8 @@ const DefaultRankBudget = 8
 type EngineOptions struct {
 	// RankBudget is the maximum SMW update rank (0 = DefaultRankBudget;
 	// negative disables warm updates entirely, forcing a refactorization
-	// per state change — the "sparse-cold" reference of cmd/bench).
+	// per state change, the cold reference the equivalence tests compare
+	// warm solves against).
 	RankBudget int
 	// Workers sizes the EvaluateAll worker pool (0 = runtime.GOMAXPROCS).
 	Workers int
@@ -126,10 +127,6 @@ func (e *Engine) SourceNode() int { return e.sys.source }
 
 // MeterNode returns the rig's meter grid node.
 func (e *Engine) MeterNode() int { return e.sys.meter }
-
-// Unknowns returns the size of the solved system (channel nodes minus the
-// two terminals).
-func (e *Engine) Unknowns() int { return e.sys.m }
 
 // Stats returns a snapshot of the engine's solve counters, aggregated
 // over all its solvers.

@@ -165,8 +165,9 @@ func RunProgressCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *as
 // RunBaseline is the seed scheduler preserved verbatim (baseline_sim.go,
 // baseline_transport.go): it rebuilds every piece of routing and validation
 // state from scratch on each call. It exists as the A/B reference the
-// engine's property tests and cmd/bench -sched compare against; Engine.Run
-// is bit-identical to it for every design, control assignment and ban set.
+// engine's property tests (TestEngineMatchesBaselineDesigns) compare
+// against; Engine.Run is bit-identical to it for every design, control
+// assignment and ban set.
 func RunBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
 	sch, _, err := RunProgressBaseline(c, ctrl, g, params)
 	return sch, err

@@ -145,17 +145,6 @@ func buildCutCoverILP(c *chip.Chip, src, dst int) (*lp.Problem, []cutCandidate, 
 	return p, pool, vars, nil
 }
 
-// CutCoverILPModel builds the test-cut set-cover ILP between ports src and
-// dst. Like PathILPModel it exists for benchmarking the branch-and-bound
-// engine on the paper's real models (cmd/bench -ilp).
-func CutCoverILPModel(c *chip.Chip, src, dst int) (*ilp.Model, error) {
-	p, _, _, err := buildCutCoverILP(c, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return ilp.NewModel(p), nil
-}
-
 // enumerateCutCandidates returns up to k candidate cuts per valve: the
 // default leak-preserving cut plus alternatives obtained by forbidding one
 // member of the previous candidate at a time.

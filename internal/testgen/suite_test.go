@@ -2,6 +2,7 @@ package testgen
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,10 +33,14 @@ func canonical(s *Suite) *Suite {
 }
 
 // TestSuiteEnginesCoverageEqual: the template engine must reach coverage
-// equal to GenerateBaseline on every design — the acceptance gate of the
-// scaling bench.
+// equal to GenerateBaseline on every design, including the larger seed-1
+// FPVA grids of the template scaling curve.
 func TestSuiteEnginesCoverageEqual(t *testing.T) {
-	for _, c := range suiteChips(t) {
+	chips := suiteChips(t)
+	for _, n := range []int{16, 32} {
+		chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: n, H: n, Seed: 1}))
+	}
+	for _, c := range chips {
 		base, err := GenerateBaseline(c, SuiteOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", c.Name, err)
@@ -134,26 +139,49 @@ func TestTemplateMemoPurity(t *testing.T) {
 	}
 }
 
-// TestTemplateClassCompression: the point of the engine — class count must
-// be far below valve count on a regular grid, with most vectors stamped
-// from templates rather than solved.
+// TestTemplateClassCompression: the point of the engine. On seed-1 FPVA
+// grids every valve falls into one of the same 10 line classes at any
+// size, so the engine solves nothing and stamps every vector slot from a
+// template. Those constant counts are what make it faster than
+// GenerateBaseline, which solves one path and one cut per valve.
 func TestTemplateClassCompression(t *testing.T) {
-	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 16, H: 16, Seed: 1})
-	s, err := GenerateTemplates(c, SuiteOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv := c.NumValves()
-	if s.Stats.Classes*2 >= nv {
-		t.Fatalf("no compression: %d classes for %d valves", s.Stats.Classes, nv)
-	}
-	if s.Stats.Instantiated < int64(nv) {
-		t.Fatalf("only %d of %d vector slots instantiated (fallbacks %d)",
-			s.Stats.Instantiated, 2*nv, s.Stats.Fallbacks)
-	}
-	if s.Stats.PathSolves+s.Stats.CutSolves >= int64(2*nv) {
-		t.Fatalf("template engine solved %d times for %d valves",
-			s.Stats.PathSolves+s.Stats.CutSolves, nv)
+	for _, tc := range []struct {
+		n            int
+		fullCoverage bool
+	}{
+		{16, false},
+		{32, false},
+		{64, true},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.n, tc.n), func(t *testing.T) {
+			if tc.n > 32 && testing.Short() {
+				t.Skip("short mode")
+			}
+			c := chip.MustGenerateFPVA(chip.FPVAParams{W: tc.n, H: tc.n, Seed: 1})
+			s, err := GenerateTemplates(c, SuiteOptions{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv := c.NumValves()
+			st := s.Stats
+			if st.Classes != 10 || st.LineClasses != 10 {
+				t.Errorf("%d classes (%d line), want 10 (10 line)", st.Classes, st.LineClasses)
+			}
+			if st.PathSolves != 0 || st.CutSolves != 0 || st.Fallbacks != 0 {
+				t.Errorf("%d path solves, %d cut solves, %d fallbacks, want 0 each", st.PathSolves, st.CutSolves, st.Fallbacks)
+			}
+			if st.Instantiated != int64(2*nv) {
+				t.Errorf("%d vector slots instantiated, want %d", st.Instantiated, 2*nv)
+			}
+			if len(s.Uncovered) != 0 {
+				t.Errorf("%d valves uncovered", len(s.Uncovered))
+			}
+			if tc.fullCoverage {
+				if cov := s.Coverage(4); !cov.Full() {
+					t.Errorf("coverage %v, want full", cov)
+				}
+			}
+		})
 	}
 }
 
