@@ -198,7 +198,9 @@ func (e *Engine) RunProgress(ctrl *chip.Control, params Params) (*Schedule, int,
 }
 
 // RunProgressCtx runs one control-dependent simulation. The schedule is
-// bit-identical to RunProgressBaselineCtx with the same arguments.
+// bit-identical to RunProgressBaselineCtx with the same arguments; a run
+// the baseline simulates to the horizon in a cycle ends early here with
+// ErrLivelock and the same progress count.
 func (e *Engine) RunProgressCtx(ctx context.Context, ctrl *chip.Control, params Params) (*Schedule, int, error) {
 	params = params.withDefaults()
 	if err := e.checkBans(params); err != nil {

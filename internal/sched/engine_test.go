@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -90,7 +92,10 @@ func randBans(rng *rand.Rand, c *chip.Chip, maxN int) []int {
 
 // checkSameRun asserts the engine and the baseline agree bit for bit: same
 // error disposition, same progress count, and — on success — deeply equal
-// schedules (ops, transports, edges, wash counts).
+// schedules (ops, transports, edges, wash counts). The one sanctioned
+// difference is a livelock: the engine stops at the repeated state where
+// the baseline simulates on to the horizon, so there the baseline's error
+// must be the horizon exit (progress was compared above).
 func checkSameRun(t *testing.T, label string, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, p Params) {
 	t.Helper()
 	eng, err := NewEngine(c, g, p)
@@ -104,6 +109,15 @@ func checkSameRun(t *testing.T, label string, c *chip.Chip, ctrl *chip.Control, 
 	}
 	if warmDone != baseDone {
 		t.Fatalf("%s: progress differs: engine=%d baseline=%d", label, warmDone, baseDone)
+	}
+	if errors.Is(warmErr, ErrLivelock) {
+		if !strings.Contains(baseErr.Error(), "exceeded time horizon") {
+			t.Fatalf("%s: engine livelock, but baseline error is not the horizon exit: %v", label, baseErr)
+		}
+		if warm != nil || base != nil {
+			t.Fatalf("%s: failed run returned a schedule: engine=%v baseline=%v", label, warm != nil, base != nil)
+		}
+		return
 	}
 	if warmErr != nil {
 		if warmErr.Error() != baseErr.Error() {

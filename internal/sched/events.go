@@ -80,6 +80,9 @@ type runState struct {
 
 	// Event-loop scratch.
 	phaseBuf []int
+
+	// Livelock detection (cycle.go).
+	cycle cycleDetector
 }
 
 // engTask is transportTask by value; tasks are addressed by index into
@@ -168,10 +171,8 @@ func (rs *runState) reset(ctrl *chip.Control, p Params, ctx context.Context) {
 	for v := 0; v < e.numValves; v++ {
 		rs.sharedValve[v] = rs.lineSize[ctrl.LineOf(v)] > 1
 	}
-	// Epoch counters restart per run; the stamp arrays were zeroed on
-	// creation and every stale stamp is < the new epoch sequence only if
-	// we also clear them — cheaper to keep the epochs monotonic across
-	// runs instead, so explicitly zero the stamps once here.
+	// Epoch counters restart at zero per run, so the stamps a previous
+	// run left behind could collide with the new epochs: zero them too.
 	for v := range rs.reqOpenEp {
 		rs.reqOpenEp[v] = 0
 		rs.reqClosedEp[v] = 0
@@ -184,9 +185,12 @@ func (rs *runState) reset(ctrl *chip.Control, p Params, ctx context.Context) {
 		rs.prodMoveEp[i] = 0
 	}
 	rs.snapEpoch, rs.memberEp = 0, 0
+	rs.cycle.reset(0)
 }
 
-// run is the event loop, step for step the baseline's simState.run.
+// run is the event loop, step for step the baseline's simState.run, except
+// that a repeated loop-top state ends it with a LivelockError where the
+// baseline simulates on to the MaxTime horizon (cycle.go).
 func (rs *runState) run() (*Schedule, int, error) {
 	numOps := rs.eng.numOps
 	for rs.doneOps < numOps {
@@ -197,6 +201,10 @@ func (rs *runState) run() (*Schedule, int, error) {
 		}
 		if rs.now > rs.params.MaxTime {
 			return nil, rs.doneOps, fmt.Errorf("sched: exceeded time horizon %ds at t=%d", rs.params.MaxTime, rs.now)
+		}
+		if err := rs.livelock(); err != nil {
+			rs.eng.metrics.noteLivelock()
+			return nil, rs.doneOps, err
 		}
 		for rs.step() {
 		}

@@ -32,9 +32,10 @@ type Params struct {
 	HasTransportTimePerEdge bool
 	// MaxTime aborts the simulation as unschedulable beyond this horizon in
 	// seconds (default 24h). Valve sharing can make transports permanently
-	// infeasible; the scheduler detects true deadlock earlier, but this is
-	// the final guard. An explicit zero horizon (nothing may run past t=0)
-	// requires HasMaxTime.
+	// infeasible; the scheduler detects true deadlock and livelock (a
+	// repeated simulation state, ErrLivelock) earlier, but this is the
+	// final guard, checked first. An explicit zero horizon (nothing may run
+	// past t=0) requires HasMaxTime.
 	MaxTime int
 	// HasMaxTime marks MaxTime as deliberately set, so zero means zero
 	// instead of the default.
@@ -167,7 +168,8 @@ func RunProgressCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *as
 // state from scratch on each call. It exists as the A/B reference the
 // engine's property tests (TestEngineMatchesBaselineDesigns) compare
 // against; Engine.Run is bit-identical to it for every design, control
-// assignment and ban set.
+// assignment and ban set, except that a livelock ends early with
+// ErrLivelock where RunBaseline simulates to the MaxTime horizon.
 func RunBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
 	sch, _, err := RunProgressBaseline(c, ctrl, g, params)
 	return sch, err
