@@ -1,5 +1,5 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs with bounded variables.
+// Package lp implements a two-phase primal simplex solver for linear
+// programs with bounded variables, over a sparse-row tableau.
 //
 // The DAC'18 DFT paper formulates test-path generation as a 0-1 integer
 // linear program (eqs. (1)-(6)); the authors used a commercial solver from
@@ -11,8 +11,9 @@
 // hundreds of variables and constraints — with numerical robustness
 // (Bland's rule fallback, explicit tolerances) and a branch-and-bound
 // friendly hot path: the production engine (bounded.go) treats finite
-// upper bounds implicitly and solves into a reusable Tableau scratch, so
-// a warm re-solve performs no allocations. The seed row-based simplex is
+// upper bounds implicitly, pivots only over each row's nonzero columns,
+// and solves into a reusable Tableau scratch, so a warm re-solve performs
+// no allocations. The seed row-based simplex is
 // preserved in baseline.go for benchmarks and cross-checks.
 package lp
 
@@ -118,8 +119,9 @@ func (p *Problem) VarName(i int) string { return p.names[i] }
 // Bounds returns the bounds of variable i.
 func (p *Problem) Bounds(i int) (lb, ub float64) { return p.lb[i], p.ub[i] }
 
-// AddConstraint appends a linear constraint. Terms with out-of-range
-// variable indices panic at solve time.
+// AddConstraint appends a linear constraint. Terms are not checked here:
+// a term with an out-of-range variable index makes the solve functions
+// return an error instead of a Solution.
 func (p *Problem) AddConstraint(c Constraint) int {
 	p.cons = append(p.cons, c)
 	return len(p.cons) - 1
