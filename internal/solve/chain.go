@@ -2,6 +2,8 @@ package solve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/chip"
@@ -26,6 +28,30 @@ type ChainConfig struct {
 	Inject []Injection
 	// OnAttempt is forwarded to the Runner's per-tier attempt hook.
 	OnAttempt func(Attempt)
+
+	// exact replaces the exact tier's engine (testgen.AugmentILPCtx when
+	// nil), so tests can hand it a known configuration.
+	exact func(ctx context.Context, c *chip.Chip, opts testgen.Options) (*testgen.Augmentation, error)
+}
+
+// errExactNotCuttable marks an exact-tier configuration that admits no
+// complete leak-preserving stuck-at-1 cut cover. The tier fails with it,
+// so the chain falls through to the heuristic.
+var errExactNotCuttable = errors.New("solve: exact configuration has no complete stuck-at-1 cut cover")
+
+// cuttable accepts an augmentation only if testgen.GenerateCutsCtx covers
+// every valve of it with a leak-preserving cut. The exact ILP optimizes
+// the paths alone, and a configuration it returns can lack such a cut
+// cover; the flow cannot test that configuration, so the tier must not
+// return it.
+func cuttable(ctx context.Context, aug *testgen.Augmentation) error {
+	if _, err := testgen.GenerateCutsCtx(ctx, aug.Chip, aug.Source, aug.Meter); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return fmt.Errorf("solve: cut check of the exact configuration: %w", ctxErr)
+		}
+		return fmt.Errorf("%w: %v", errExactNotCuttable, err)
+	}
+	return nil
 }
 
 // Default per-tier budgets for AugmentChain.
@@ -43,8 +69,9 @@ func pick(d, def time.Duration) time.Duration {
 }
 
 // AugmentChain builds the DFT-augmentation degradation chain for a chip:
-// exact ILP (optional) → greedy heuristic → best-effort repair. The
-// repair tier records any original edges it could not cover in
+// exact ILP (optional) → greedy heuristic → best-effort repair. The exact
+// tier only returns configurations that GenerateCuts can cover; any other
+// fails the tier with errExactNotCuttable. The repair tier records any original edges it could not cover in
 // Augmentation.Uncovered rather than failing, so the chain only exhausts
 // when even a partial configuration is impossible.
 func AugmentChain(c *chip.Chip, cfg ChainConfig) *Runner[*testgen.Augmentation] {
@@ -55,10 +82,21 @@ func AugmentChain(c *chip.Chip, cfg ChainConfig) *Runner[*testgen.Augmentation] 
 	}
 	tier := 0
 	if cfg.Exact {
+		exact := cfg.exact
+		if exact == nil {
+			exact = testgen.AugmentILPCtx
+		}
 		r.Tiers = append(r.Tiers, TierSpec[*testgen.Augmentation]{
 			Tier: tier, Name: "exact", Budget: pick(cfg.ExactBudget, DefaultExactBudget),
 			Run: func(ctx context.Context) (*testgen.Augmentation, error) {
-				return testgen.AugmentILPCtx(ctx, c, cfg.Options)
+				aug, err := exact(ctx, c, cfg.Options)
+				if err != nil {
+					return nil, err
+				}
+				if err := cuttable(ctx, aug); err != nil {
+					return nil, err
+				}
+				return aug, nil
 			},
 		})
 		tier++

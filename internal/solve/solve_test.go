@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/chip"
+	"repro/internal/testgen"
 )
 
 func ok(v int) TierSpec[int] {
@@ -338,5 +339,37 @@ func TestRunRejectsUnknownInjectionTier(t *testing.T) {
 	_, err := r.Run(context.Background())
 	if !errors.Is(err, ErrUnknownInjectionTier) {
 		t.Fatalf("err = %v, want ErrUnknownInjectionTier", err)
+	}
+}
+
+// An exact-tier configuration that GenerateCuts cannot cover must not be
+// returned: the tier fails with errExactNotCuttable, the attempt is
+// recorded, and the chain falls through to the heuristic. The bare
+// IVD_chip with its test ports (no DFT channels) is such a configuration.
+func TestAugmentChainRejectsUncuttableExact(t *testing.T) {
+	c := chip.IVD()
+	src, dst := c.MaxDistantPortPair()
+	bare := &testgen.Augmentation{Chip: c, Source: src, Meter: dst, Method: "ilp"}
+	if _, err := testgen.GenerateCuts(bare.Chip, bare.Source, bare.Meter); err == nil {
+		t.Fatal("fixture: GenerateCuts covers the bare chip; pick another configuration")
+	}
+	out, err := AugmentChain(c, ChainConfig{
+		Exact: true,
+		exact: func(context.Context, *chip.Chip, testgen.Options) (*testgen.Augmentation, error) {
+			return bare, nil
+		},
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Degraded || out.Name != "heuristic" || out.Value.Method != "heuristic" {
+		t.Fatalf("bad outcome: %+v method=%q", out.Provenance, out.Value.Method)
+	}
+	a := out.Attempts[0]
+	if a.Name != "exact" || a.Reason != ReasonError || !errors.Is(a.Err, errExactNotCuttable) {
+		t.Fatalf("exact attempt = %+v, want a recorded errExactNotCuttable failure", a)
+	}
+	if _, err := testgen.GenerateCuts(out.Value.Chip, out.Value.Source, out.Value.Meter); err != nil {
+		t.Fatalf("heuristic configuration not cuttable: %v", err)
 	}
 }
