@@ -11,13 +11,15 @@ package lp
 // test, which keeps only the true constraint rows.
 //
 // The matrix values live in a dense row-major array, but every row also
-// carries a list of the columns that may be nonzero in it, and the kernel
-// only ever walks those lists. A pivot scales the pivot row over its
-// list, then updates only the rows with a nonzero in the entering column
-// and only at the pivot row's nonzero columns; fill-in appends to the
-// updated row's list. On the paper's path ILP (IVD_chip: 191 rows, 535
-// columns) a pivot row has ~10 nonzeros and the entering column ~8, so a
-// pivot costs ~100 multiply-adds instead of ~4,000 dense element visits.
+// carries a list of the columns that may be nonzero in it, with a
+// membership bitset. A pivot scales the pivot row over its list, then
+// updates only the rows with a nonzero in the entering column, and only
+// at the pivot row's nonzero columns (a pivot row that is mostly nonzero
+// is swept densely instead); the pivot row's columns missing from an
+// updated row's bitset are its fill-in and join its list. On the paper's
+// path ILP (IVD_chip: 191 rows, 535 columns) a pivot row has ~10 nonzeros
+// and the entering column ~8, so a pivot costs ~100 multiply-adds instead
+// of ~4,000 dense element visits.
 // Every floating-point operation that can produce a nonzero is the same
 // operation, in the same per-element order, as a dense sweep would do, so
 // results are bit-identical to the dense kernel this replaced
@@ -32,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // Tableau is reusable scratch storage for SolveTab. The zero value is
@@ -58,9 +60,6 @@ type Tableau struct {
 	// colRows collects the rows with a nonzero in the column being
 	// pivoted on.
 	colRows []int32
-	// movable lists, in increasing order, the nonbasic columns that are
-	// not fixed (u > 0): the only candidates to enter the basis.
-	movable []int32
 
 	b       []float64 // current value of each row's basic variable
 	u       []float64 // working upper bound per column (shifted space)
@@ -167,10 +166,9 @@ func (t *Tableau) add(i, j int) {
 	t.cols[i] = append(t.cols[i], int32(j))
 }
 
-// unload returns the scratch to its between-solves state: the matrix and
-// the membership bitset all zero and every row list empty. Only listed
-// entries can be nonzero, so this costs the previous solve's nonzeros,
-// not m×nTot.
+// unload returns the matrix and the membership bitset to all zero, the
+// state load builds on. Only listed entries can be nonzero, so this costs
+// the previous solve's nonzeros, not m×nTot.
 func (t *Tableau) unload() {
 	for i := 0; i < t.m; i++ {
 		base, mbase := i*t.nTot, i*t.words
@@ -179,6 +177,37 @@ func (t *Tableau) unload() {
 			t.mark[mbase+int(j>>6)] = 0
 		}
 		t.cols[i] = t.cols[i][:0]
+	}
+}
+
+// growCols sizes the row lists for problem p. Rows keep the storage of
+// earlier solves; rows short of twice their loaded size (terms plus slack
+// and artificial) are carved together from one new block, so a fresh
+// Tableau allocates once rather than once per row. Fill-in beyond that
+// grows a row on its own.
+func (t *Tableau) growCols(p *Problem) {
+	m := len(p.cons)
+	if cap(t.cols) < m {
+		cols := make([][]int32, m)
+		copy(cols, t.cols[:cap(t.cols)])
+		t.cols = cols
+	}
+	t.cols = t.cols[:m]
+	want := func(i int) int { return 2 * (len(p.cons[i].Terms) + 2) }
+	total := 0
+	for i := range t.cols {
+		if cap(t.cols[i]) < want(i) {
+			total += want(i)
+		}
+	}
+	if total == 0 {
+		return
+	}
+	block := make([]int32, total)
+	for i := range t.cols {
+		if w := want(i); cap(t.cols[i]) < w {
+			t.cols[i], block = block[:0:w], block[w:]
+		}
 	}
 }
 
@@ -237,12 +266,7 @@ func (t *Tableau) load(p *Problem) {
 		t.mark = make([]uint64, m*t.words)
 	}
 	t.mark = t.mark[:m*t.words]
-	if cap(t.cols) < m {
-		cols := make([][]int32, m)
-		copy(cols, t.cols[:cap(t.cols)])
-		t.cols = cols
-	}
-	t.cols = t.cols[:m]
+	t.growCols(p)
 	t.colRows = t.colRows[:0]
 	t.b = growFloats(t.b, m)
 	t.u = growFloats(t.u, t.nTot)
@@ -297,27 +321,6 @@ func (t *Tableau) load(p *Problem) {
 			artCol++
 		}
 		t.basic[t.basis[i]] = true
-	}
-	t.movable = t.movable[:0]
-	for j := 0; j < t.nTot; j++ {
-		if !t.basic[j] && !(t.u[j] <= 0) {
-			t.movable = append(t.movable, int32(j))
-		}
-	}
-}
-
-// swapBasic makes column in basic in place of column out, keeping the
-// movable list sorted: in leaves it (driveOutArtificials may bring in a
-// fixed column, which was never on it), out joins it unless it is fixed.
-func (t *Tableau) swapBasic(in, out int) {
-	t.basic[out] = false
-	t.basic[in] = true
-	if k, ok := slices.BinarySearch(t.movable, int32(in)); ok {
-		t.movable = slices.Delete(t.movable, k, k+1)
-	}
-	if !(t.u[out] <= 0) {
-		k, _ := slices.BinarySearch(t.movable, int32(out))
-		t.movable = slices.Insert(t.movable, k, int32(out))
 	}
 }
 
@@ -434,10 +437,9 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 		// z > 0; fixed columns (u <= 0) can never move.
 		enter := -1
 		best := eps
-		for _, j32 := range t.movable {
-			j := int(j32)
-			if j >= limit {
-				break
+		for j := 0; j < limit; j++ {
+			if t.basic[j] || t.u[j] <= 0 {
+				continue
 			}
 			score := -t.z[j]
 			if t.atUpper[j] {
@@ -558,8 +560,9 @@ func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool
 		vE = t.u[enter] + d*step
 	}
 	r := t.basis[leave]
-	t.swapBasic(enter, r)
+	t.basic[r] = false
 	t.atUpper[r] = leaveAtUpper
+	t.basic[enter] = true
 	t.atUpper[enter] = false
 	t.basis[leave] = enter
 	t.b[leave] = vE
@@ -577,51 +580,75 @@ func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool
 }
 
 // eliminate is the sparse Gauss-Jordan pivot on (r, c): it scales row r
-// so a[r][c] = 1, pruning row r's list to the columns still nonzero after
-// scaling, then clears column c from every other row in colRows. Each
-// other row is updated only at those columns; a zero entry there that is
-// not yet on the row's list is fill-in and joins it. It returns row r's
+// so a[r][c] = 1, pruning row r's list (and bitset) to the columns still
+// nonzero after scaling, then clears column c from every other row in
+// colRows. Each other row is updated only at those columns, and the
+// pivot row's columns it did not list yet (its fill-in) join its list:
+// the bitset words of row r not yet set in row i. It returns row r's
 // pruned list, which the elimination leaves unchanged.
 func (t *Tableau) eliminate(r, c int) []int32 {
 	n := t.nTot
-	base := r * n
-	inv := 1 / t.a[base+c]
+	prow := t.a[r*n : (r+1)*n]
+	mr := t.mark[r*t.words : (r+1)*t.words]
+	inv := 1 / prow[c]
 	list := t.cols[r]
 	k := 0
 	for _, j := range list {
-		v := t.a[base+int(j)]
+		v := prow[j]
 		if v != 0 {
 			v *= inv
-			t.a[base+int(j)] = v
+			prow[j] = v
 		}
 		if v != 0 {
 			list[k] = j
 			k++
 		} else {
-			t.mark[r*t.words+int(j>>6)] &^= 1 << (uint(j) & 63)
+			mr[j>>6] &^= 1 << (uint(j) & 63)
 		}
 	}
 	piv := list[:k]
 	t.cols[r] = piv
-	t.a[base+c] = 1
+	prow[c] = 1
+	// A pivot row with most columns nonzero is swept densely: the same
+	// updates in column order, without the indirection through piv.
+	dense := len(piv)*denseRatio > n
 	for _, i32 := range t.colRows {
 		i := int(i32)
 		if i == r {
 			continue
 		}
-		ibase := i * n
-		f := t.a[ibase+c]
-		for _, j := range piv {
-			ri := t.a[ibase+int(j)]
-			if ri == 0 && !t.has(i, int(j)) {
-				t.add(i, int(j))
+		irow := t.a[i*n : (i+1)*n]
+		f := irow[c]
+		if dense {
+			for j, pj := range prow {
+				if pj != 0 {
+					irow[j] -= f * pj
+				}
 			}
-			t.a[ibase+int(j)] = ri - f*t.a[base+int(j)]
+		} else {
+			for _, j := range piv {
+				irow[j] -= f * prow[j]
+			}
 		}
-		t.a[ibase+c] = 0
+		irow[c] = 0
+		mi := t.mark[i*t.words : (i+1)*t.words]
+		for w, bw := range mr {
+			fill := bw &^ mi[w]
+			if fill == 0 {
+				continue
+			}
+			mi[w] |= fill
+			for ; fill != 0; fill &= fill - 1 {
+				t.cols[i] = append(t.cols[i], int32(w<<6+bits.TrailingZeros64(fill)))
+			}
+		}
 	}
 	return piv
 }
+
+// denseRatio sets when eliminate sweeps the pivot row densely: when more
+// than 1/denseRatio of its columns are nonzero.
+const denseRatio = 3
 
 // clampValues snaps tiny out-of-box basic values (numerical drift from
 // the manual value updates) back onto the feasible box. Only the rows in
@@ -691,12 +718,13 @@ func (t *Tableau) driveOutArtificials() {
 func (t *Tableau) exchangeAtBound(i, j int) {
 	n := t.nTot
 	r := t.basis[i]
+	t.basic[r] = false
 	t.atUpper[r] = false
 	vE := 0.0
 	if t.atUpper[j] {
 		vE = t.u[j]
 	}
-	t.swapBasic(j, r)
+	t.basic[j] = true
 	t.atUpper[j] = false
 	t.basis[i] = j
 	t.b[i] = vE
