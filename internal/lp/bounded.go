@@ -14,13 +14,12 @@ package lp
 // carries a list of the columns that may be nonzero in it, with a
 // membership bitset. A pivot scales the pivot row over its list, then
 // updates only the rows with a nonzero in the entering column, and only
-// at the pivot row's nonzero columns (a pivot row that is mostly nonzero
-// is swept densely instead); the pivot row's columns missing from an
-// updated row's bitset are its fill-in and join its list. On the paper's
-// path ILP (IVD_chip: 191 rows, 535 columns) a pivot row has ~10 nonzeros
-// and the entering column ~8, so a pivot costs ~100 multiply-adds instead
-// of ~4,000 dense element visits.
-// Every floating-point operation that can produce a nonzero is the same
+// at the pivot row's nonzero columns; the pivot row's columns missing
+// from an updated row's bitset are its fill-in and join its list. On the
+// paper's path ILP (IVD_chip: 191 rows, 535 columns) a pivot row has ~10
+// nonzeros and the entering column ~8, so a pivot costs ~100
+// multiply-adds instead of ~4,000 dense element visits. Every
+// floating-point operation that can produce a nonzero is the same
 // operation, in the same per-element order, as a dense sweep would do, so
 // results are bit-identical to the dense kernel this replaced
 // (testdata/solvetab_golden.txt pins them).
@@ -180,37 +179,6 @@ func (t *Tableau) unload() {
 	}
 }
 
-// growCols sizes the row lists for problem p. Rows keep the storage of
-// earlier solves; rows short of twice their loaded size (terms plus slack
-// and artificial) are carved together from one new block, so a fresh
-// Tableau allocates once rather than once per row. Fill-in beyond that
-// grows a row on its own.
-func (t *Tableau) growCols(p *Problem) {
-	m := len(p.cons)
-	if cap(t.cols) < m {
-		cols := make([][]int32, m)
-		copy(cols, t.cols[:cap(t.cols)])
-		t.cols = cols
-	}
-	t.cols = t.cols[:m]
-	want := func(i int) int { return 2 * (len(p.cons[i].Terms) + 2) }
-	total := 0
-	for i := range t.cols {
-		if cap(t.cols[i]) < want(i) {
-			total += want(i)
-		}
-	}
-	if total == 0 {
-		return
-	}
-	block := make([]int32, total)
-	for i := range t.cols {
-		if w := want(i); cap(t.cols[i]) < w {
-			t.cols[i], block = block[:0:w], block[w:]
-		}
-	}
-}
-
 // load rebuilds the tableau in place for problem p under the working
 // bounds t.lb/t.ub. Variables are shifted by their lower bound (y = x-lb)
 // so every column lives in [0, u]; rows are normalized to nonnegative RHS
@@ -266,7 +234,12 @@ func (t *Tableau) load(p *Problem) {
 		t.mark = make([]uint64, m*t.words)
 	}
 	t.mark = t.mark[:m*t.words]
-	t.growCols(p)
+	if cap(t.cols) < m {
+		cols := make([][]int32, m)
+		copy(cols, t.cols[:cap(t.cols)])
+		t.cols = cols
+	}
+	t.cols = t.cols[:m]
 	t.colRows = t.colRows[:0]
 	t.b = growFloats(t.b, m)
 	t.u = growFloats(t.u, t.nTot)
@@ -609,9 +582,6 @@ func (t *Tableau) eliminate(r, c int) []int32 {
 	piv := list[:k]
 	t.cols[r] = piv
 	prow[c] = 1
-	// A pivot row with most columns nonzero is swept densely: the same
-	// updates in column order, without the indirection through piv.
-	dense := len(piv)*denseRatio > n
 	for _, i32 := range t.colRows {
 		i := int(i32)
 		if i == r {
@@ -619,16 +589,8 @@ func (t *Tableau) eliminate(r, c int) []int32 {
 		}
 		irow := t.a[i*n : (i+1)*n]
 		f := irow[c]
-		if dense {
-			for j, pj := range prow {
-				if pj != 0 {
-					irow[j] -= f * pj
-				}
-			}
-		} else {
-			for _, j := range piv {
-				irow[j] -= f * prow[j]
-			}
+		for _, j := range piv {
+			irow[j] -= f * prow[j]
 		}
 		irow[c] = 0
 		mi := t.mark[i*t.words : (i+1)*t.words]
@@ -645,10 +607,6 @@ func (t *Tableau) eliminate(r, c int) []int32 {
 	}
 	return piv
 }
-
-// denseRatio sets when eliminate sweeps the pivot row densely: when more
-// than 1/denseRatio of its columns are nonzero.
-const denseRatio = 3
 
 // clampValues snaps tiny out-of-box basic values (numerical drift from
 // the manual value updates) back onto the feasible box. Only the rows in
