@@ -53,7 +53,7 @@ type Tableau struct {
 	a []float64
 	// cols[i] lists the columns that may be nonzero in row i: a superset
 	// of the row's nonzeros, each column at most once. mark is the
-	// matching membership bitset, words bits-words per row.
+	// matching membership bitset, words uint64 words per row.
 	cols [][]int32
 	mark []uint64
 	// colRows collects the rows with a nonzero in the column being
@@ -240,7 +240,6 @@ func (t *Tableau) load(p *Problem) {
 		t.cols = cols
 	}
 	t.cols = t.cols[:m]
-	t.colRows = t.colRows[:0]
 	t.b = growFloats(t.b, m)
 	t.u = growFloats(t.u, t.nTot)
 	t.basis = growInts(t.basis, m)

@@ -13,8 +13,8 @@
 // friendly hot path: the production engine (bounded.go) treats finite
 // upper bounds implicitly, pivots only over each row's nonzero columns,
 // and solves into a reusable Tableau scratch, so a warm re-solve performs
-// no allocations. The seed row-based simplex is
-// preserved in baseline.go for benchmarks and cross-checks.
+// no allocations. The seed row-based simplex is preserved in baseline.go
+// for benchmarks and cross-checks.
 package lp
 
 import (

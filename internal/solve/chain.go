@@ -71,9 +71,10 @@ func pick(d, def time.Duration) time.Duration {
 // AugmentChain builds the DFT-augmentation degradation chain for a chip:
 // exact ILP (optional) → greedy heuristic → best-effort repair. The exact
 // tier only returns configurations that GenerateCuts can cover; any other
-// fails the tier with errExactNotCuttable. The repair tier records any original edges it could not cover in
-// Augmentation.Uncovered rather than failing, so the chain only exhausts
-// when even a partial configuration is impossible.
+// fails the tier with errExactNotCuttable. The repair tier records any
+// original edges it could not cover in Augmentation.Uncovered rather than
+// failing, so the chain only exhausts when even a partial configuration
+// is impossible.
 func AugmentChain(c *chip.Chip, cfg ChainConfig) *Runner[*testgen.Augmentation] {
 	r := &Runner[*testgen.Augmentation]{
 		Inject:        cfg.Inject,
